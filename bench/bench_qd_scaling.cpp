@@ -9,8 +9,14 @@
 //     than the 1-channel device at QD >= 8 (the whole point of dispatching
 //     page transactions out-of-order across channels/chips/dies);
 //   * runs are bit-for-bit deterministic (seeded generator + event queue).
+//
+// The sweep is a campaign grid (channels x workload.queue_depth, see
+// bench::QdCampaignSpec) run by campaign::CampaignRunner.
+#include <cstddef>
 #include <cstdint>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "harness.h"
 
@@ -20,17 +26,33 @@ int main(int argc, char** argv) {
   bench::PrintHeader("Queue-Depth Scaling (host interface, closed loop)",
                      "Section 5 setup, Table 1 device", options);
 
+  campaign::Json spec =
+      bench::QdCampaignSpec("qd_scaling", options, /*read_fraction=*/1.0);
+  const std::vector<std::uint32_t> channel_counts = {1, 4};
+  campaign::JsonArray channels_axis;
+  for (const std::uint32_t c : channel_counts) {
+    channels_axis.emplace_back(static_cast<std::uint64_t>(c));
+  }
+  spec["grid"]["channels"] = campaign::Json(std::move(channels_axis));
+  const campaign::CampaignResult result = bench::RunQdCampaign(spec);
+
+  // "channels" sorts before "workload.queue_depth": channels vary slowest.
+  const std::size_t depths = options.qd_list.size();
   double one_ch_peak = 0.0;
   double four_ch_peak = 0.0;
-  for (const std::uint32_t channels : {1u, 4u}) {
-    const auto cfg = bench::QdDeviceConfig(channels, options);
-    const auto points = bench::RunQdSweep(cfg, options);
+  for (std::size_t c = 0; c < channel_counts.size(); ++c) {
+    const std::uint32_t channels = channel_counts[c];
+    std::vector<bench::QdRow> rows;
+    for (std::size_t d = 0; d < depths; ++d) {
+      rows.push_back(
+          bench::QdRow::Of(result.arms[c * depths + d], "read_latency"));
+    }
     bench::PrintQdSweep(std::to_string(channels) + "-channel device, " +
                             std::to_string(options.qd_requests) +
                             " random 16 KiB reads per point",
-                        points);
+                        rows);
     double peak = 0.0;
-    for (const auto& p : points) {
+    for (const auto& p : rows) {
       if (p.iops > peak) peak = p.iops;
     }
     (channels == 1 ? one_ch_peak : four_ch_peak) = peak;

@@ -258,11 +258,12 @@ double RunWeightRatio(ssd::FtlKind kind, std::uint64_t device_bytes,
 
   std::uint64_t dispatches[2] = {0, 0};
   bool counting = true;
-  host.scheduler().OnDispatch([&](const host::FlashTransaction& txn) {
+  sched::DispatchObserver tap([&](const host::FlashTransaction& txn) {
     if (!counting || txn.tenant == qos::kNoTenant) return;
     dispatches[txn.tenant]++;
     if (dispatches[txn.tenant] >= requests) counting = false;
   });
+  host.scheduler().AttachObserver(&tap);
 
   host::TenantWorkload base;
   base.queue_depth = 16;

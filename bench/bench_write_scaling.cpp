@@ -16,14 +16,19 @@
 //   * at saturation the striped 4-channel device beats the striped
 //     1-channel device (die-count scaling).
 //
-// Results are also written as JSON (default BENCH_write_scaling.json,
-// override with --json) so the numbers are diffable across PRs.
+// The three devices are explicit campaign arms crossed with a
+// workload.queue_depth grid (see bench::QdCampaignSpec), run by
+// campaign::CampaignRunner.  Results are also written as JSON (default
+// BENCH_write_scaling.json, override with --json) so the numbers are
+// diffable across PRs.
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness.h"
@@ -34,7 +39,7 @@ struct Series {
   std::string label;
   std::uint32_t channels = 0;
   std::uint32_t write_frontiers = 0;
-  std::vector<ctflash::ssd::QdSweepPoint> points;
+  std::vector<ctflash::bench::QdRow> points;
 
   double IopsAtQd(std::uint32_t qd) const {
     for (const auto& p : points) {
@@ -99,20 +104,34 @@ int main(int argc, char** argv) {
                      "ROADMAP write-path parallelism; Table 1 device",
                      options);
 
-  ssd::QdSweepOptions sweep;
-  sweep.queue_depths = options.qd_list;
-  sweep.requests_per_point = options.qd_requests;
-  sweep.read_fraction = 0.0;  // write-only: the path the seed serialized
-
   std::vector<Series> series = {
       {"4ch-baseline", 4, 1, {}},
       {"4ch-striped", 4, options.write_frontiers, {}},
       {"1ch-striped", 1, options.write_frontiers, {}},
   };
-  for (Series& s : series) {
-    const auto cfg =
-        bench::WriteDeviceConfig(s.channels, s.write_frontiers, options);
-    s.points = ssd::RunQdSweep(cfg, sweep);
+  // Write-only: the path the seed serialized.
+  campaign::Json spec =
+      bench::QdCampaignSpec("write_scaling", options, /*read_fraction=*/0.0);
+  campaign::JsonArray arms;
+  for (const Series& s : series) {
+    campaign::Json arm;
+    arm["name"] = s.label;
+    arm["channels"] = static_cast<std::uint64_t>(s.channels);
+    arm["write_frontiers"] = static_cast<std::uint64_t>(s.write_frontiers);
+    arm["seed"] = 1;
+    arms.push_back(std::move(arm));
+  }
+  spec["arms"] = campaign::Json(std::move(arms));
+  const campaign::CampaignResult result = bench::RunQdCampaign(spec);
+
+  // Expansion order: queue depth slowest, then the arms in series order.
+  for (std::size_t d = 0; d < options.qd_list.size(); ++d) {
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      series[i].points.push_back(bench::QdRow::Of(
+          result.arms[d * series.size() + i], "write_latency"));
+    }
+  }
+  for (const Series& s : series) {
     bench::PrintQdSweep(s.label + ": " + std::to_string(s.channels) +
                             "-channel device, write_frontiers=" +
                             std::to_string(s.write_frontiers) + ", " +

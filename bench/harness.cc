@@ -1,11 +1,13 @@
 #include "harness.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "replay/trace_source.h"
@@ -226,47 +228,75 @@ ComparisonResult RunComparison(
   return out;
 }
 
-ssd::SsdConfig QdDeviceConfig(std::uint32_t channels,
-                              const BenchOptions& options) {
-  nand::NandGeometry shape;  // Table 1
-  shape.channels = channels;
-  auto cfg = ssd::ScaledConfig(ssd::FtlKind::kConventional,
-                               options.device_bytes, 16 * 1024,
-                               /*speed_ratio=*/2.0, shape);
-  cfg.timing_mode = ftl::TimingMode::kQueued;
-  return cfg;
+campaign::Json QdCampaignSpec(const std::string& name,
+                              const BenchOptions& options,
+                              double read_fraction) {
+  using campaign::Json;
+  using campaign::JsonArray;
+  JsonArray depths;
+  std::uint32_t max_depth = 0;
+  for (const std::uint32_t qd : options.qd_list) {
+    depths.emplace_back(static_cast<std::uint64_t>(qd));
+    max_depth = std::max(max_depth, qd);
+  }
+  Json spec;
+  spec["campaign"] = name;
+  spec["defaults"]["device_bytes"] = options.device_bytes;
+  spec["defaults"]["ftl"] = "conventional";
+  spec["defaults"]["prefill_pct"] = 80;
+  spec["defaults"]["host"]["device_slots"] = 64;
+  // Room for the whole queue depth in every submission queue, so no
+  // request ever backlogs host-side.
+  spec["defaults"]["host"]["queue_capacity"] =
+      static_cast<std::uint64_t>(std::max<std::uint32_t>(64, max_depth));
+  Json& workload = spec["defaults"]["workload"];
+  workload["kind"] = "closed_loop";
+  workload["requests"] = options.qd_requests;
+  workload["read_fraction"] = read_fraction;
+  workload["request_bytes"] = 16 * kKiB;
+  spec["grid"]["workload.queue_depth"] = Json(std::move(depths));
+  Json pinned;
+  pinned["seed"] = 1;
+  spec["arms"] = Json(JsonArray{pinned});
+  return spec;
 }
 
-ssd::SsdConfig WriteDeviceConfig(std::uint32_t channels,
-                                 std::uint32_t write_frontiers,
-                                 const BenchOptions& options) {
-  auto cfg = QdDeviceConfig(channels, options);
-  cfg.ftl.write_frontiers = write_frontiers;
-  // FtlBase requires spares for gc_threshold_high + one frontier set per
-  // stream; keep a few extra so GC has reclaimable victims under churn.
-  const double min_spare =
-      static_cast<double>(cfg.ftl.gc_threshold_high) + 2.0 * write_frontiers +
-      8.0;
-  const double min_op =
-      min_spare / static_cast<double>(cfg.geometry.TotalBlocks());
-  if (min_op > cfg.ftl.op_ratio) cfg.ftl.op_ratio = min_op;
-  return cfg;
+campaign::CampaignResult RunQdCampaign(const campaign::Json& spec) {
+  const std::uint32_t workers =
+      std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
+  campaign::CampaignResult result =
+      campaign::CampaignRunner(campaign::CampaignSpec::Parse(spec))
+          .Run(workers);
+  for (const campaign::ArmResult& arm : result.arms) {
+    if (!arm.ok) {
+      throw std::runtime_error("arm " + arm.name + " failed: " + arm.error);
+    }
+  }
+  return result;
 }
 
-std::vector<ssd::QdSweepPoint> RunQdSweep(const ssd::SsdConfig& config,
-                                          const BenchOptions& options) {
-  ssd::QdSweepOptions sweep;
-  sweep.queue_depths = options.qd_list;
-  sweep.requests_per_point = options.qd_requests;
-  return ssd::RunQdSweep(config, sweep);
+QdRow QdRow::Of(const campaign::ArmResult& arm, const char* latency) {
+  const campaign::Json& m = arm.metrics;
+  const campaign::Json& lat = *m.Get(latency);
+  QdRow row;
+  row.queue_depth = static_cast<std::uint32_t>(
+      arm.config.Get("workload")->Get("queue_depth")->AsUint());
+  row.iops = m.Get("iops")->AsDouble();
+  row.mean_us = lat.Get("mean_us")->AsDouble();
+  row.p50_us = lat.Get("p50_us")->AsDouble();
+  row.p95_us = lat.Get("p95_us")->AsDouble();
+  row.p99_us = lat.Get("p99_us")->AsDouble();
+  row.p999_us = lat.Get("p999_us")->AsDouble();
+  row.die_utilization = m.Get("die_utilization")->AsDouble();
+  row.channel_utilization = m.Get("channel_utilization")->AsDouble();
+  return row;
 }
 
-void PrintQdSweep(const std::string& label,
-                  const std::vector<ssd::QdSweepPoint>& points) {
+void PrintQdSweep(const std::string& label, const std::vector<QdRow>& rows) {
   std::cout << "--- " << label << " ---\n";
   util::TablePrinter table({"QD", "IOPS", "mean us", "p50 us", "p95 us",
                             "p99 us", "p99.9 us", "die util", "chan util"});
-  for (const auto& p : points) {
+  for (const auto& p : rows) {
     table.AddRow({std::to_string(p.queue_depth),
                   util::TablePrinter::FormatDouble(p.iops, 0),
                   util::TablePrinter::FormatDouble(p.mean_us, 1),

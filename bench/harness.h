@@ -35,6 +35,8 @@
 #include <string>
 #include <vector>
 
+#include "campaign/json.h"
+#include "campaign/runner.h"
 #include "campaign/snapshot.h"
 #include "replay/replay_plan.h"
 #include "ssd/experiment.h"
@@ -164,26 +166,41 @@ ComparisonResult RunComparison(
 void PrintHeader(const std::string& title, const std::string& paper_ref,
                  const BenchOptions& options);
 
-/// Device for queue-depth scaling studies: Table 1 block shape and timing
-/// scaled to options.device_bytes, with `channels` channels and queued
-/// (contention-exposing) timing.
-ssd::SsdConfig QdDeviceConfig(std::uint32_t channels,
-                              const BenchOptions& options);
+/// Spec for a closed-loop queue-depth sweep, run by campaign::CampaignRunner
+/// (bench_qd_scaling, bench_write_scaling).  Defaults: the Table 1 device
+/// scaled to options.device_bytes (conventional FTL, queued timing), 80 %
+/// prefill, 64 device slots, and options.qd_requests random 16 KiB requests
+/// per arm, a `read_fraction` share of them reads.  The grid sweeps
+/// "workload.queue_depth" over options.qd_list; the one default arm pins
+/// the seed to 1.  Callers add grid axes or replace "arms" (every arm must
+/// pin "seed": 1 to keep the sweep's request stream).
+campaign::Json QdCampaignSpec(const std::string& name,
+                              const BenchOptions& options,
+                              double read_fraction);
 
-/// QdDeviceConfig plus the die-striped write-path knobs, with the
-/// over-provisioned spare pool resized for the larger open-block population
-/// (2 streams x `write_frontiers` open blocks) so small smoke devices keep
-/// valid GC thresholds.
-ssd::SsdConfig WriteDeviceConfig(std::uint32_t channels,
-                                 std::uint32_t write_frontiers,
-                                 const BenchOptions& options);
+/// Runs `spec` on min(4, hardware threads) workers; throws
+/// std::runtime_error naming the first arm that failed.  Arms come back in
+/// expansion order (grid keys sorted, first key slowest, then "arms").
+campaign::CampaignResult RunQdCampaign(const campaign::Json& spec);
 
-/// Runs a closed-loop QD sweep on `config` using the harness knobs.
-std::vector<ssd::QdSweepPoint> RunQdSweep(const ssd::SsdConfig& config,
-                                          const BenchOptions& options);
+/// One table row of a queue-depth sweep, read from a closed-loop arm's
+/// metrics; `latency` names the "read_latency" or "write_latency" block
+/// (the whole latency population for read-only / write-only sweeps).
+struct QdRow {
+  std::uint32_t queue_depth = 0;
+  double iops = 0.0;
+  double mean_us = 0.0;
+  double p50_us = 0.0;
+  double p95_us = 0.0;
+  double p99_us = 0.0;
+  double p999_us = 0.0;
+  double die_utilization = 0.0;
+  double channel_utilization = 0.0;
+
+  static QdRow Of(const campaign::ArmResult& arm, const char* latency);
+};
 
 /// Prints one sweep as a table: QD, IOPS, mean/p50/p95/p99/p99.9, util.
-void PrintQdSweep(const std::string& label,
-                  const std::vector<ssd::QdSweepPoint>& points);
+void PrintQdSweep(const std::string& label, const std::vector<QdRow>& rows);
 
 }  // namespace ctflash::bench

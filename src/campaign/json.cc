@@ -22,6 +22,11 @@ const char* KindName(Json::Kind kind) {
   return "?";
 }
 
+/// Deepest array/object nesting Parse accepts.  The parser recurses once
+/// per level, so hostile input ("[[[[...") must not reach the stack limit;
+/// real specs nest a handful of levels.
+constexpr int kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -75,14 +80,24 @@ class Parser {
     SkipWs();
     const char c = Peek();
     switch (c) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
+      case '{': return Nested(&Parser::ParseObject);
+      case '[': return Nested(&Parser::ParseArray);
       case '"': return Json(ParseString());
       case 't': if (Consume("true")) return Json(true); Fail("invalid literal");
       case 'f': if (Consume("false")) return Json(false); Fail("invalid literal");
       case 'n': if (Consume("null")) return Json(); Fail("invalid literal");
       default: return ParseNumber();
     }
+  }
+
+  Json Nested(Json (Parser::*parse)()) {
+    if (depth_ == kMaxDepth) {
+      Fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
+    ++depth_;
+    Json v = (this->*parse)();
+    --depth_;
+    return v;
   }
 
   Json ParseObject() {
@@ -190,11 +205,15 @@ class Parser {
     char* end = nullptr;
     const double v = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) Fail("malformed number '" + token + "'");
+    // strtod saturates overflow ("1e999") to infinity, which JSON cannot
+    // represent and the integral accessors cannot convert.
+    if (!std::isfinite(v)) Fail("number out of range '" + token + "'");
     return Json(v);
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 void AppendEscaped(std::string& out, const std::string& s) {
@@ -260,19 +279,36 @@ double Json::AsDouble() const {
   return number_;
 }
 
-std::int64_t Json::AsInt() const {
-  const double v = AsDouble();
+namespace {
+
+double IntegralOf(const Json& json) {
+  const double v = json.AsDouble();
   if (v != std::floor(v)) {
     throw std::runtime_error("json: expected an integer, found " + std::to_string(v));
+  }
+  return v;
+}
+
+}  // namespace
+
+// The integral accessors range-check before casting: converting a double
+// outside the target type's range is undefined behaviour.
+std::int64_t Json::AsInt() const {
+  const double v = IntegralOf(*this);
+  if (v < -0x1p63 || v >= 0x1p63) {
+    throw std::runtime_error("json: integer out of int64 range, found " + Dump());
   }
   return static_cast<std::int64_t>(v);
 }
 
 std::uint64_t Json::AsUint() const {
-  const std::int64_t v = AsInt();
+  const double v = IntegralOf(*this);
   if (v < 0) {
     throw std::runtime_error("json: expected a non-negative integer, found " +
-                             std::to_string(v));
+                             Dump());
+  }
+  if (v >= 0x1p64) {
+    throw std::runtime_error("json: integer out of uint64 range, found " + Dump());
   }
   return static_cast<std::uint64_t>(v);
 }

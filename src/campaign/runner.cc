@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <exception>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -20,7 +19,6 @@
 #include "ssd/ssd.h"
 #include "trace/synthetic.h"
 #include "trace/trace.h"
-#include "util/config.h"
 #include "util/parallel.h"
 #include "util/stats.h"
 #include "util/types.h"
@@ -32,14 +30,6 @@ namespace {
 double WallMs(std::chrono::steady_clock::time_point from,
               std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
-}
-
-std::uint64_t BytesOf(const Json& parent, const std::string& key,
-                      std::uint64_t fallback) {
-  const Json* v = parent.Get(key);
-  if (v == nullptr || v->IsNull()) return fallback;
-  if (v->IsNumber()) return v->AsUint();
-  return util::ParseByteSize(v->AsString());
 }
 
 using util::ParallelFor;
@@ -258,6 +248,25 @@ std::string PrefillKey(const ArmSpec& arm) {
          "|chunk=" + std::to_string(arm.prefill_chunk_bytes);
 }
 
+/// The arm's prefill share of `ssd`'s logical capacity.  The shared and
+/// straight-through paths must agree on it byte for byte.
+std::uint64_t PrefillBytes(const ssd::Ssd& ssd, const ArmSpec& arm) {
+  return ssd.LogicalBytes() * arm.prefill_pct / 100;
+}
+
+/// The result of an arm that threw `error` before finishing.
+ArmResult FailedArm(const ArmSpec& arm, const std::string& error) {
+  ArmResult out;
+  out.name = arm.name;
+  out.index = arm.index;
+  out.config = arm.ConfigSummary();
+  out.error = error;
+  // An arm that dies mid-run on an unrecoverable media error (e.g. the
+  // spare pool retired away) is a data-loss outcome, not a campaign bug.
+  if (arm.inject_faults) out.outcome = "data-loss";
+  return out;
+}
+
 }  // namespace
 
 ArmResult RunCampaignArm(const ArmSpec& arm, const DeviceState* shared) {
@@ -267,8 +276,7 @@ ArmResult RunCampaignArm(const ArmSpec& arm, const DeviceState* shared) {
   out.config = arm.ConfigSummary();
   try {
     ssd::Ssd ssd(arm.device);
-    const std::uint64_t prefill_bytes =
-        ssd.LogicalBytes() * arm.prefill_pct / 100;
+    const std::uint64_t prefill_bytes = PrefillBytes(ssd, arm);
     Us prefill_end = 0;
     if (shared != nullptr) {
       ssd.Restore(*shared);
@@ -343,12 +351,7 @@ ArmResult RunCampaignArm(const ArmSpec& arm, const DeviceState* shared) {
     }
     out.ok = true;
   } catch (const std::exception& e) {
-    out.ok = false;
-    out.error = e.what();
-    out.metrics = Json();
-    // An arm that dies mid-run on an unrecoverable media error (e.g. the
-    // spare pool retired away) is a data-loss outcome, not a campaign bug.
-    if (arm.inject_faults) out.outcome = "data-loss";
+    return FailedArm(arm, e.what());
   }
   return out;
 }
@@ -369,8 +372,8 @@ CampaignResult CampaignRunner::Run(std::uint32_t workers_override) {
   // Phase 1: one prefill snapshot per (shape, prefill) group.
   struct PrefillGroup {
     const ArmSpec* representative = nullptr;
-    std::unique_ptr<DeviceState> state;
-    std::exception_ptr error;
+    std::unique_ptr<DeviceState> state;  ///< null when the prefill threw
+    std::string error;
   };
   std::vector<PrefillGroup> groups;
   std::vector<std::size_t> arm_group(spec_.arms.size(), 0);
@@ -380,7 +383,7 @@ CampaignResult CampaignRunner::Run(std::uint32_t workers_override) {
       const std::string key = PrefillKey(spec_.arms[i]);
       auto [it, inserted] = group_of.emplace(key, groups.size());
       if (inserted) {
-        groups.push_back(PrefillGroup{&spec_.arms[i], nullptr, nullptr});
+        groups.push_back(PrefillGroup{&spec_.arms[i], nullptr, {}});
       }
       arm_group[i] = it->second;
     }
@@ -389,28 +392,34 @@ CampaignResult CampaignRunner::Run(std::uint32_t workers_override) {
       try {
         const ArmSpec& arm = *group.representative;
         ssd::Ssd ssd(arm.device);
-        const std::uint64_t bytes = ssd.LogicalBytes() * arm.prefill_pct / 100;
+        const std::uint64_t bytes = PrefillBytes(ssd, arm);
         Us end = 0;
         if (bytes > 0) {
           ssd::ExperimentRunner prefiller(ssd);
           end = prefiller.Prefill(bytes, arm.prefill_chunk_bytes);
         }
         group.state = std::make_unique<DeviceState>(ssd.Snapshot(end));
+      } catch (const std::exception& e) {
+        group.error = e.what();
       } catch (...) {
-        group.error = std::current_exception();
+        group.error = "prefill threw a non-standard exception";
       }
     });
-    for (const PrefillGroup& group : groups) {
-      if (group.error) std::rethrow_exception(group.error);
-    }
   }
   const auto t1 = std::chrono::steady_clock::now();
 
   // Phase 2: arms.
+  // Every arm of a group whose prefill failed fails with the group's error,
+  // exactly as it would have prefilling straight through.
   ParallelFor(spec_.arms.size(), workers, [&](std::size_t i) {
-    const DeviceState* shared =
-        spec_.share_prefill ? groups[arm_group[i]].state.get() : nullptr;
-    result.arms[i] = RunCampaignArm(spec_.arms[i], shared);
+    if (!spec_.share_prefill) {
+      result.arms[i] = RunCampaignArm(spec_.arms[i], nullptr);
+      return;
+    }
+    const PrefillGroup& group = groups[arm_group[i]];
+    result.arms[i] = group.state != nullptr
+                         ? RunCampaignArm(spec_.arms[i], group.state.get())
+                         : FailedArm(spec_.arms[i], group.error);
   });
   const auto t2 = std::chrono::steady_clock::now();
 

@@ -19,8 +19,9 @@
 // savings).
 //
 // An arm that throws is reported as a failed arm in the results rather than
-// aborting the campaign; a prefill failure aborts (every arm of the group
-// would fail identically).
+// aborting the campaign.  A failed shared prefill fails every arm of its
+// group with the prefill's error — the same results a straight-through run
+// reports, since each of those arms would throw identically.
 #pragma once
 
 #include <cstdint>

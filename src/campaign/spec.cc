@@ -7,9 +7,6 @@
 
 namespace ctflash::campaign {
 
-namespace {
-
-/// Byte sizes may be JSON numbers or strings like "256MiB".
 std::uint64_t BytesOf(const Json& parent, const std::string& key,
                       std::uint64_t fallback) {
   const Json* v = parent.Get(key);
@@ -17,6 +14,8 @@ std::uint64_t BytesOf(const Json& parent, const std::string& key,
   if (v->IsNumber()) return v->AsUint();
   return util::ParseByteSize(v->AsString());
 }
+
+namespace {
 
 ssd::FtlKind ParseFtlKind(const std::string& s) {
   if (s == "conventional") return ssd::FtlKind::kConventional;
@@ -193,6 +192,9 @@ DeviceSectionSpec ResolveDeviceSection(const Json& merged) {
       static_cast<std::uint32_t>(merged.GetUintOr("write_frontiers", 1));
   out.device.ftl.stripe_policy =
       ParseStripePolicy(merged.GetStringOr("stripe_policy", "round_robin"));
+  // More frontiers hold more open blocks: resize the spare pool for them
+  // (a no-op up to 4 frontiers, which ScaledConfig's floor already covers).
+  ssd::EnsureSpareFloor(out.device);
   if (const Json* ppb = merged.Get("ppb")) {
     out.device.ppb.vb_split =
         static_cast<std::uint32_t>(ppb->GetUintOr("vb_split", out.device.ppb.vb_split));

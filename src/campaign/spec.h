@@ -127,8 +127,15 @@ struct DeviceSectionSpec {
 };
 
 /// Parses and validates the device/host/prefill fields of `merged`; throws
-/// std::runtime_error naming the offending field.
+/// std::runtime_error naming the offending field.  A `write_frontiers`
+/// above 4 grows the over-provisioned spare pool (ssd::EnsureSpareFloor).
 DeviceSectionSpec ResolveDeviceSection(const Json& merged);
+
+/// Reads byte size `parent[key]`, given as a JSON number or a string like
+/// "256MiB"; absent or null yields `fallback`.  Shared by the campaign and
+/// cluster spec parsers.
+std::uint64_t BytesOf(const Json& parent, const std::string& key,
+                      std::uint64_t fallback);
 
 /// RFC 7386-style merge: object fields of `patch` merge recursively into
 /// `base`, everything else replaces.  Null patch fields delete.

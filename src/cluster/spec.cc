@@ -4,20 +4,11 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/config.h"
-
 namespace ctflash::cluster {
 
 namespace {
 
-/// Byte sizes may be JSON numbers or strings like "64MiB".
-std::uint64_t BytesOf(const Json& parent, const std::string& key,
-                      std::uint64_t fallback) {
-  const Json* v = parent.Get(key);
-  if (v == nullptr || v->IsNull()) return fallback;
-  if (v->IsNumber()) return v->AsUint();
-  return util::ParseByteSize(v->AsString());
-}
+using campaign::BytesOf;
 
 RebalancePolicy ParsePolicy(const std::string& s) {
   if (s == "on_failure") return RebalancePolicy::kOnFailure;

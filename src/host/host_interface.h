@@ -139,7 +139,7 @@ class HostInterface {
     return scheduler_.PeakInFlight();
   }
 
-  /// Direct scheduler access (GC-routing counters, test dispatch hooks).
+  /// Direct scheduler access (GC-routing counters, observer attachment).
   IoScheduler& scheduler() { return scheduler_; }
   const IoScheduler& scheduler() const { return scheduler_; }
 

@@ -7,8 +7,7 @@
 // hierarchical dot-separated names ("ftl.gc.page_copies",
 // "host.read.latency") so exporters, campaign reports, and time-series
 // sampling can enumerate everything without knowing any struct layout.
-// obs/stats_export.h converts the existing families into registry entries;
-// they keep their structs as the hot-path representation.
+// The families keep their structs as the hot-path representation.
 //
 // Three metric kinds, matching how they merge across shards/devices:
 //   counters   - uint64, merge by sum;

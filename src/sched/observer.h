@@ -1,14 +1,12 @@
 // Scheduler observation interface: the single sink for dispatch-order and
 // transaction-execution events.
 //
-// Historically IoScheduler carried a test-only std::function dispatch hook
-// next to the functional completion callback — two parallel pathways with
-// different lifetimes and no execution-side visibility.  This interface
-// replaces that: the scheduler publishes every dispatch (with the context
-// needed to attribute where the transaction's time went) and every
-// execution completion to attached observers.  The lifecycle tracer
-// (obs::Tracer) is the production observer; the legacy OnDispatch callback
-// is now an adapter over this interface, so there is exactly one pathway.
+// The scheduler publishes every dispatch (with the context needed to
+// attribute where the transaction's time went) and every execution
+// completion to the observers attached through IoScheduler::AttachObserver
+// — the one observation pathway.  The lifecycle tracer (obs::Tracer) is
+// the production observer; tests and benches that only need the dispatch
+// order wrap a callable in DispatchObserver below.
 //
 // Observers are borrowed, never owned, and must outlive the scheduler.
 // With no observers attached the scheduler skips all context computation —
@@ -16,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "sched/transaction.h"
 #include "util/types.h"
@@ -57,6 +56,27 @@ class SchedulerObserver {
   /// completion event), before the host interface sees the completion.
   virtual void OnTxnExecuted(const FlashTransaction& txn, Us dispatch_us,
                              Us completion_us) = 0;
+};
+
+/// Dispatch-only observer that calls `on_dispatch(txn)` for every dispatch
+/// (tests and benches that record or count the dispatch order):
+///
+///   sched::DispatchObserver tap([&](const FlashTransaction& t) { ... });
+///   host.scheduler().AttachObserver(&tap);
+template <typename F>
+class DispatchObserver final : public SchedulerObserver {
+ public:
+  explicit DispatchObserver(F on_dispatch)
+      : on_dispatch_(std::move(on_dispatch)) {}
+
+  void OnDispatch(const FlashTransaction& txn,
+                  const DispatchContext&) override {
+    on_dispatch_(txn);
+  }
+  void OnTxnExecuted(const FlashTransaction&, Us, Us) override {}
+
+ private:
+  F on_dispatch_;
 };
 
 }  // namespace ctflash::sched

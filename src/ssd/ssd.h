@@ -64,6 +64,14 @@ SsdConfig ScaledConfig(FtlKind kind, std::uint64_t device_bytes,
                        std::uint32_t page_size_bytes, double speed_ratio,
                        const nand::NandGeometry& base_shape);
 
+/// Raises `config.ftl.op_ratio` until the over-provisioned spare pool holds
+/// gc_threshold_high + max(16, 2 * write_frontiers + 8) blocks: the GC
+/// thresholds, one open-block set per write stream (host + GC relocation)
+/// and a few reclaimable victims under churn.  ScaledConfig applies it for
+/// the default single frontier; callers that raise write_frontiers on a
+/// scaled config apply it again.  Never lowers op_ratio.
+void EnsureSpareFloor(SsdConfig& config);
+
 class Ssd {
  public:
   explicit Ssd(const SsdConfig& config);

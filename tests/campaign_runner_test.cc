@@ -79,6 +79,39 @@ TEST(CampaignRunner, FailedArmIsCapturedNotFatal) {
   EXPECT_FALSE(result.arms[1].error.empty());
 }
 
+TEST(CampaignRunner, FailedSharedPrefillFailsItsArmsLikeStraightThrough) {
+  CampaignSpec shared = CampaignSpec::Parse(R"({
+    "defaults": {
+      "device_bytes": "32MiB",
+      "workload": {"kind": "closed_loop", "requests": 100}
+    },
+    "arms": [
+      {"name": "good"},
+      {"name": "bad-inline"},
+      {"name": "bad-scheduled", "gc_routing": "scheduled"}
+    ]
+  })");
+  // A shape the FTL rejects at construction: more open write frontiers
+  // than the spare pool can hold.  Both bad arms share one prefill group.
+  shared.arms[1].device.ftl.write_frontiers = 64;
+  shared.arms[2].device.ftl.write_frontiers = 64;
+  CampaignSpec straight = shared;
+  straight.share_prefill = false;
+
+  const CampaignResult with = CampaignRunner(shared).Run(2);
+  const CampaignResult without = CampaignRunner(straight).Run(2);
+  ASSERT_EQ(with.arms.size(), 3u);
+  EXPECT_TRUE(with.arms[0].ok) << with.arms[0].error;
+  for (std::size_t i = 1; i < 3; ++i) {
+    EXPECT_FALSE(with.arms[i].ok) << with.arms[i].name;
+    EXPECT_NE(with.arms[i].error.find("over-provisioning"), std::string::npos)
+        << with.arms[i].error;
+  }
+  EXPECT_EQ(with.prefill_groups, 2u);
+  EXPECT_EQ(with.DeterministicJson().Dump(2),
+            without.DeterministicJson().Dump(2));
+}
+
 TEST(CampaignRunner, UnknownWorkloadKindIsPerArmError) {
   CampaignRunner runner(CampaignSpec::Parse(R"({
     "defaults": {"device_bytes": "32MiB", "workload": {"kind": "nope"}}

@@ -64,6 +64,63 @@ TEST(CampaignJson, RejectsMalformedInputWithPosition) {
   EXPECT_THROW(Json::Parse(""), std::runtime_error);
 }
 
+TEST(CampaignJson, RejectsNonFiniteNumbers) {
+  // strtod saturates these to +-inf; JSON has no representation for them.
+  for (const char* text : {"1e999", "-1e999", "[1, 2e400]", "{\"a\": -9e9999}"}) {
+    try {
+      Json::Parse(text);
+      FAIL() << "accepted " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest finite double still parses.
+  EXPECT_DOUBLE_EQ(Json::Parse("1.7976931348623157e308").AsDouble(),
+                   1.7976931348623157e308);
+}
+
+TEST(CampaignJson, IntegralAccessorsRangeCheckBeforeCasting) {
+  // Casting an out-of-range double to an integer is undefined behaviour;
+  // the accessors must throw instead.
+  for (const char* text : {"1e30", "-1e30", "9.3e18", "-9.3e18"}) {
+    EXPECT_THROW(Json::Parse(text).AsInt(), std::runtime_error) << text;
+  }
+  for (const char* text : {"1e30", "1.9e19", "-1"}) {
+    EXPECT_THROW(Json::Parse(text).AsUint(), std::runtime_error) << text;
+  }
+  EXPECT_THROW(Json(1e300).AsInt(), std::runtime_error);
+  // The edges of each range convert.
+  EXPECT_EQ(Json::Parse("-9223372036854775808").AsInt(), INT64_MIN);
+  EXPECT_EQ(Json::Parse("9.3e18").AsUint(), 9'300'000'000'000'000'000u);
+  EXPECT_EQ(Json::Parse("0").AsUint(), 0u);
+  // The spec layer surfaces the error instead of wrapping a huge count.
+  EXPECT_THROW(
+      CampaignSpec::Parse(
+          R"({"workers": 1e30, "defaults": {"workload": {"kind": "closed_loop"}}})"),
+      std::runtime_error);
+}
+
+TEST(CampaignJson, NestingDepthIsCapped) {
+  // Deep nesting must fail with an error, not overflow the parser's stack.
+  const std::string deep_array(200'000, '[');
+  try {
+    Json::Parse(deep_array);
+    FAIL() << "200k nested arrays accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos)
+        << e.what();
+  }
+  std::string deep_object;
+  for (int i = 0; i < 100'000; ++i) deep_object += "{\"a\":";
+  EXPECT_THROW(Json::Parse(deep_object), std::runtime_error);
+  // Moderate nesting still parses.
+  std::string ok;
+  for (int i = 0; i < 64; ++i) ok += '[';
+  for (int i = 0; i < 64; ++i) ok += ']';
+  EXPECT_TRUE(Json::Parse(ok).IsArray());
+}
+
 TEST(CampaignJson, MergePatchFollowsRfc7386) {
   const Json base = Json::Parse(R"({"a": {"x": 1, "y": 2}, "b": 3, "c": 4})");
   const Json patch = Json::Parse(R"({"a": {"y": 9}, "b": null, "d": 5})");
@@ -174,6 +231,30 @@ TEST(CampaignSpec, ByteSizesAcceptStringsAndNumbers) {
   ASSERT_EQ(spec.arms.size(), 1u);
   EXPECT_EQ(spec.arms[0].merged.Get("device_bytes")->AsString(), "64MiB");
   EXPECT_EQ(spec.arms[0].device.geometry.page_size_bytes, 16384u);
+}
+
+TEST(CampaignSpec, WriteFrontiersGrowTheSparePool) {
+  // Nine frontiers per stream on a 256 MiB 4-channel device need more
+  // spare blocks than ScaledConfig's default floor provides; the spec
+  // layer resizes over-provisioning so the device constructs.
+  const CampaignSpec spec = CampaignSpec::Parse(R"({
+    "defaults": {"device_bytes": "256MiB", "channels": 4,
+                 "workload": {"kind": "closed_loop"}},
+    "grid": {"write_frontiers": [1, 4, 9]}
+  })");
+  ASSERT_EQ(spec.arms.size(), 3u);
+  nand::NandGeometry four_channels;
+  four_channels.channels = 4;
+  const ssd::SsdConfig scaled = ssd::ScaledConfig(
+      ssd::FtlKind::kConventional, 256 * kMiB, 16 * kKiB, 2.0, four_channels);
+  // Up to 4 frontiers the default floor already covers: unchanged.
+  EXPECT_EQ(spec.arms[0].device.ftl.op_ratio, scaled.ftl.op_ratio);
+  EXPECT_EQ(spec.arms[1].device.ftl.op_ratio, scaled.ftl.op_ratio);
+  const ssd::SsdConfig& nine = spec.arms[2].device;
+  EXPECT_GT(nine.ftl.op_ratio, scaled.ftl.op_ratio);
+  EXPECT_GE(nine.ftl.op_ratio * static_cast<double>(nine.geometry.TotalBlocks()),
+            static_cast<double>(nine.ftl.gc_threshold_high + 2 * 9 + 8) - 1e-9);
+  EXPECT_NO_THROW(ssd::Ssd{nine});
 }
 
 }  // namespace

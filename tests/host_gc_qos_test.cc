@@ -168,7 +168,7 @@ TEST(GcQos, HostReadPreemptsQueuedGcCopies) {
   std::size_t read_submitted_at = ~std::size_t{0};
   std::size_t probe_read_pos = ~std::size_t{0};
   bool probe_submitted = false;
-  host.scheduler().OnDispatch([&](const FlashTransaction& txn) {
+  sched::DispatchObserver tap([&](const FlashTransaction& txn) {
     trace.push_back(txn.source);
     if (txn.source == sched::TxnSource::kGcCopy && !probe_submitted) {
       probe_submitted = true;
@@ -184,6 +184,7 @@ TEST(GcQos, HostReadPreemptsQueuedGcCopies) {
       probe_read_pos = trace.size() - 1;
     }
   });
+  host.scheduler().AttachObserver(&tap);
 
   ClosedLoopGenerator(host, WriteBurst(ssd, 0.0, 20000)).Run();
 
@@ -208,9 +209,10 @@ TEST(GcQos, EraseNeverDispatchesBeforeItsCopies) {
   host.AdvanceTo(prefill_end);
 
   std::vector<FlashTransaction> gc_trace;
-  host.scheduler().OnDispatch([&](const FlashTransaction& txn) {
+  sched::DispatchObserver tap([&](const FlashTransaction& txn) {
     if (sched::IsGc(txn.source)) gc_trace.push_back(txn);
   });
+  host.scheduler().AttachObserver(&tap);
   ClosedLoopGenerator(host, WriteBurst(ssd, 0.1, 30000)).Run();
 
   ASSERT_FALSE(gc_trace.empty());

@@ -54,12 +54,13 @@ Fingerprint RunScenario(ssd::FtlKind kind, ftl::GcRouting routing) {
   host.AdvanceTo(prefill_end);
 
   Fingerprint fp;
-  host.scheduler().OnDispatch([&fp](const host::FlashTransaction& txn) {
+  sched::DispatchObserver tap([&fp](const host::FlashTransaction& txn) {
     fp.dispatch = Fold(fp.dispatch, static_cast<std::uint64_t>(txn.source));
     fp.dispatch = Fold(fp.dispatch, txn.seq);
     fp.dispatch = Fold(fp.dispatch, txn.lpn);
     fp.dispatch = Fold(fp.dispatch, txn.offset_bytes);
   });
+  host.scheduler().AttachObserver(&tap);
 
   host::ClosedLoopGenerator::Config gen;
   gen.queue_depth = 16;

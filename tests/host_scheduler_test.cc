@@ -8,6 +8,8 @@
 #include <map>
 #include <vector>
 
+#include "campaign/runner.h"
+#include "campaign/spec.h"
 #include "host/host_interface.h"
 #include "host/load_generator.h"
 #include "ssd/experiment.h"
@@ -210,8 +212,9 @@ TEST(IoScheduler, UnmappedReadDoesNotLeapfrogMappedIdleDieRead) {
   ASSERT_EQ(ssd.ftl().ProbePpn(unmapped), kInvalidPpn);
 
   std::vector<Lpn> dispatch_order;
-  host.scheduler().OnDispatch(
+  sched::DispatchObserver tap(
       [&](const FlashTransaction& txn) { dispatch_order.push_back(txn.lpn); });
+  host.scheduler().AttachObserver(&tap);
 
   host.Submit(trace::OpType::kRead, blocker[0] * page, page);
   host.Submit(trace::OpType::kRead, unmapped * page, page);
@@ -256,21 +259,33 @@ TEST(IoScheduler, ClosedLoopQd8DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(std::get<6>(a), std::get<6>(b));
 }
 
-TEST(IoScheduler, QdSweepIopsMonotoneToSaturation) {
+TEST(IoScheduler, ClosedLoopIopsMonotoneToSaturation) {
   // The acceptance shape of the subsystem, in miniature: closed-loop IOPS
   // never regresses as QD grows (within a small tolerance near
-  // saturation), and a deeper queue beats QD=1 outright.
-  auto cfg = SmallConfig();
-  ssd::QdSweepOptions sweep;
-  sweep.queue_depths = {1, 2, 4, 8, 16};
-  sweep.requests_per_point = 3000;
-  const auto points = ssd::RunQdSweep(cfg, sweep);
-  ASSERT_EQ(points.size(), 5u);
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    EXPECT_GE(points[i].iops, points[i - 1].iops * 0.98)
-        << "QD " << points[i].queue_depth << " regressed";
+  // saturation), and a deeper queue beats QD=1 outright.  One campaign arm
+  // per queue depth, each on a freshly prefilled device.
+  const campaign::CampaignSpec spec = campaign::CampaignSpec::Parse(R"({
+    "defaults": {
+      "device_bytes": "256MiB", "prefill_pct": 80,
+      "host": {"device_slots": 64},
+      "workload": {"kind": "closed_loop", "requests": 3000,
+                   "read_fraction": 1.0}
+    },
+    "grid": {"workload.queue_depth": [1, 2, 4, 8, 16]},
+    "arms": [{"seed": 1}]
+  })");
+  const campaign::CampaignResult result = campaign::CampaignRunner(spec).Run(1);
+  ASSERT_EQ(result.arms.size(), 5u);
+  std::vector<double> iops;
+  for (const campaign::ArmResult& arm : result.arms) {
+    ASSERT_TRUE(arm.ok) << arm.name << ": " << arm.error;
+    iops.push_back(arm.metrics.Get("iops")->AsDouble());
   }
-  EXPECT_GT(points.back().iops, points.front().iops * 2.0);
+  for (std::size_t i = 1; i < iops.size(); ++i) {
+    EXPECT_GE(iops[i], iops[i - 1] * 0.98)
+        << result.arms[i].name << " regressed";
+  }
+  EXPECT_GT(iops.back(), iops.front() * 2.0);
 }
 
 }  // namespace

@@ -58,11 +58,12 @@ TEST(TenantQos, WeightedDrrTwoToOneThroughputUnderSaturation) {
   const std::uint64_t kRequests = 6'000;  // 1 page each (16 KiB)
   std::uint64_t dispatches[2] = {0, 0};
   bool counting = true;
-  host.scheduler().OnDispatch([&](const FlashTransaction& txn) {
+  sched::DispatchObserver tap([&](const FlashTransaction& txn) {
     if (!counting || txn.tenant == qos::kNoTenant) return;
     dispatches[txn.tenant]++;
     if (dispatches[txn.tenant] >= kRequests) counting = false;
   });
+  host.scheduler().AttachObserver(&tap);
 
   TenantWorkload base;
   base.queue_depth = 16;
@@ -82,6 +83,13 @@ TEST(TenantQos, WeightedDrrTwoToOneThroughputUnderSaturation) {
                        static_cast<double>(dispatches[1]);
   EXPECT_GE(ratio, 1.8) << dispatches[0] << ":" << dispatches[1];
   EXPECT_LE(ratio, 2.2) << dispatches[0] << ":" << dispatches[1];
+
+  // The tenant table's telemetry counts every dispatch of the whole run,
+  // one single-page read per request.
+  for (const qos::TenantId t : {0u, 1u}) {
+    EXPECT_EQ(host.tenants()->StatsOf(t).read_dispatches, kRequests) << t;
+    EXPECT_EQ(host.tenants()->StatsOf(t).write_dispatches, 0u) << t;
+  }
 }
 
 /// Paced (latency-sensitive) tenant 0 on a private working-set slice;
@@ -356,28 +364,6 @@ TEST(TenantQos, MultiTenantRunDeterministic) {
     return out;
   };
   EXPECT_EQ(run(), run());
-}
-
-TEST(TenantQos, TenantQdSweepReportsPerTenantTelemetry) {
-  ssd::TenantSweepOptions options;
-  options.host.qos = TwoTenants(2, 1);
-  options.queue_depths = {4, 8};
-  TenantWorkload base;
-  base.total_requests = 600;
-  base.read_fraction = 1.0;
-  std::vector<TenantWorkload> workloads(2, base);
-  workloads[0].tenant = 0;
-  workloads[0].seed = 71;
-  workloads[1].tenant = 1;
-  workloads[1].seed = 72;
-  options.workloads = workloads;
-  const auto points = ssd::RunTenantQdSweep(SmallConfig(), options);
-  ASSERT_EQ(points.size(), 4u);  // 2 QDs x 2 tenants
-  for (const auto& point : points) {
-    EXPECT_GT(point.iops, 0.0);
-    EXPECT_GT(point.requests, 0u);
-    EXPECT_GT(point.read_dispatches, 0u);
-  }
 }
 
 TEST(TenantQos, ApiContracts) {
