@@ -36,7 +36,10 @@ IoScheduler::IoScheduler(ssd::Ssd& ssd, sim::EventQueue& queue,
   if (gc_aging_limit == 0) {
     throw std::invalid_argument("IoScheduler: gc_aging_limit must be > 0");
   }
-  if (tenants_ != nullptr) arb_active_.resize(tenants_->TenantCount());
+  const std::size_t lanes = tenants_ != nullptr ? tenants_->TenantCount() : 1;
+  writes_.resize(lanes);
+  reads_.resize(lanes);
+  if (tenants_ != nullptr) arb_active_.resize(lanes);
   if (ssd_.ftl().config().gc_routing == ftl::GcRouting::kScheduled) {
     ssd_.ftl().AttachGcScheduler();
     attached_gc_ = true;
@@ -56,9 +59,24 @@ void IoScheduler::DetachObserver(sched::SchedulerObserver* observer) {
                    observers_.end());
 }
 
+std::uint32_t IoScheduler::LaneOf(const FlashTransaction& txn) const {
+  return tenants_ != nullptr ? txn.tenant : 0;
+}
+
 void IoScheduler::Enqueue(FlashTransaction txn) {
+  if (tenants_ != nullptr && txn.tenant >= tenants_->TenantCount()) {
+    throw std::invalid_argument("IoScheduler: host transaction without a "
+                                "valid tenant in multi-tenant mode");
+  }
   txn.seq = next_seq_++;
-  ready_.push_back(ReadyTxn{txn, 0, queue_.Now(), false});
+  if (txn.source == sched::TxnSource::kHostWrite) {
+    writes_[LaneOf(txn)].items.push_back(
+        ReadyTxn{txn, queue_.Now(), read_dispatches_, observed_hold_picks_});
+    ++writes_ready_;
+  } else {
+    reads_[LaneOf(txn)].push_back(ReadyTxn{txn, queue_.Now(), 0, 0});
+  }
+  ++ready_count_;
   Pump();
 }
 
@@ -72,87 +90,90 @@ void IoScheduler::PullGcWork() {
     if (txn.source == sched::TxnSource::kGcCopy) {
       gc_copies_undispatched_[txn.gc_block]++;
     }
-    ready_.push_back(ReadyTxn{txn, 0, queue_.Now(), false});
-    ++gc_ready_;
+    gc_.push_back(ReadyTxn{txn, queue_.Now(), host_dispatches_, 0});
+    ++ready_count_;
   }
 }
 
-bool IoScheduler::Eligible(const ReadyTxn& rt, bool write_pressure) const {
-  switch (rt.txn.source) {
-    case sched::TxnSource::kHostWrite:
-      // Admission guard: while GC work is ready and the pool sits at the
-      // write floor, writes wait so GC can replenish first.
-      return !(write_pressure && gc_ready_ > 0);
-    case sched::TxnSource::kGcErase: {
-      // The victim must be fully relocated before it is erased.
-      const auto it = gc_copies_undispatched_.find(rt.txn.gc_block);
-      return it == gc_copies_undispatched_.end() || it->second == 0;
-    }
-    default:
-      return true;
-  }
+bool IoScheduler::ErasePending(const FlashTransaction& txn) const {
+  if (txn.source != sched::TxnSource::kGcErase) return false;
+  // The victim must be fully relocated before it is erased.
+  const auto it = gc_copies_undispatched_.find(txn.gc_block);
+  return it != gc_copies_undispatched_.end() && it->second != 0;
 }
 
-int IoScheduler::RankOf(const ReadyTxn& rt, bool urgent) const {
+int IoScheduler::GcRankOf(const ReadyTxn& rt, bool urgent) const {
   // Ranks derive from the sched::PriorityOf class ordering (host-read >
   // host-write > gc-copy > gc-erase), with one slot between reads and
   // writes reserved for GC that is urgent (pool at the GC trigger) or
-  // aged out — boosted GC overtakes host writes, never host reads.
+  // aged out — boosted GC overtakes host writes, never host reads.  Every
+  // host dispatch since intake overtook this transaction (a ready GC
+  // transaction means GC work was waiting), so that count is its age.
   constexpr int kBoostedGcRank = 1;
-  if (sched::IsGc(rt.txn.source) &&
-      (urgent || rt.age >= gc_aging_limit_)) {
+  if (urgent || host_dispatches_ - rt.age_stamp >= gc_aging_limit_) {
     return kBoostedGcRank;
   }
+  return sched::PriorityOf(rt.txn.source) + 1;
+}
+
+bool IoScheduler::WriteAged(const ReadyTxn& rt) const {
   // Write aging closes the read-flood starvation gap: an aged host write
   // joins the read rank (and competes there on die keys), so sustained
   // reads can defer a write by at most `write_aging_limit` dispatches.
-  if (rt.txn.source == sched::TxnSource::kHostWrite &&
-      write_aging_limit_ > 0 && rt.age >= write_aging_limit_) {
-    return 0;
-  }
-  const int priority = sched::PriorityOf(rt.txn.source);
-  return priority == 0 ? 0 : priority + 1;
+  return write_aging_limit_ > 0 &&
+         read_dispatches_ - rt.age_stamp >= write_aging_limit_;
 }
 
-IoScheduler::DispatchKey IoScheduler::KeyOf(const FlashTransaction& txn,
-                                            Us write_free_at) const {
+IoScheduler::DispatchKey IoScheduler::KeyOf(
+    const FlashTransaction& txn) const {
   const auto& geo = ssd_.target().geometry();
+  DispatchKey key{0, 0, txn.seq};
   switch (txn.source) {
     case sched::TxnSource::kHostWrite:
       // A write's die is decided by the FTL's write-frontier allocator at
-      // dispatch time; the allocator's earliest frontier die (probed once
-      // per PickNext — it is transaction-independent) is the best
+      // dispatch time; the allocator's earliest frontier die is the best
       // prediction of when the program could start.
-      return {write_free_at, 0};
+      key.start = ssd_.ftl().ProbeWriteFreeAt().value_or(0);
+      break;
     case sched::TxnSource::kHostRead: {
       const Ppn ppn = ssd_.ftl().ProbePpn(txn.lpn);
       if (ppn == kInvalidPpn) {
         // No flash work at all: startable now, but on no die — the neutral
         // plane loses every tie so it cannot leapfrog real work that is
         // also startable (it has no die to win for anyone).
-        return {0, kNeutralPlane};
+        key.plane = kNeutralPlane;
+        break;
       }
       const BlockId block = geo.BlockOf(ppn);
-      return {ssd_.target().DieFreeAt(block), geo.PlaneOfBlock(block)};
+      key.start = ssd_.target().DieFreeAt(block);
+      key.plane = geo.PlaneOfBlock(block);
+      break;
     }
     case sched::TxnSource::kGcCopy: {
       // Conflict key of the relocation read: the source page's die (the
       // destination die is the GC frontier's business at execution time).
       const BlockId block = geo.BlockOf(txn.gc_src);
-      return {ssd_.target().DieFreeAt(block), geo.PlaneOfBlock(block)};
+      key.start = ssd_.target().DieFreeAt(block);
+      key.plane = geo.PlaneOfBlock(block);
+      break;
     }
     case sched::TxnSource::kGcErase:
-      return {ssd_.target().DieFreeAt(txn.gc_block),
-              geo.PlaneOfBlock(txn.gc_block)};
+      key.start = ssd_.target().DieFreeAt(txn.gc_block);
+      key.plane = geo.PlaneOfBlock(txn.gc_block);
+      break;
   }
-  return {0, 0};
+  // Work whose die is already free starts now: only the plane and intake
+  // order separate it from other startable work.
+  key.start = std::max(key.start, queue_.Now());
+  return key;
 }
 
 sched::DispatchContext IoScheduler::ContextOf(const ReadyTxn& rt) const {
   sched::DispatchContext ctx;
   ctx.dispatch_us = queue_.Now();
   ctx.enqueue_us = rt.enqueue_us;
-  ctx.write_held = rt.held;
+  ctx.write_held = rt.txn.source == sched::TxnSource::kHostWrite &&
+                   observed_hold_picks_ > rt.hold_stamp;
   const auto& geo = ssd_.target().geometry();
   switch (rt.txn.source) {
     case sched::TxnSource::kHostRead: {
@@ -184,118 +205,188 @@ sched::DispatchContext IoScheduler::ContextOf(const ReadyTxn& rt) const {
   return ctx;
 }
 
-std::size_t IoScheduler::PickNext(bool urgent, bool write_pressure) const {
-  if (policy_ == SchedPolicy::kFifo) {
-    // Strict intake order among eligible transactions: ready_ stays in seq
-    // order (push_back + order-preserving erase).
-    for (std::size_t i = 0; i < ready_.size(); ++i) {
-      if (Eligible(ready_[i], write_pressure)) return i;
+bool IoScheduler::PickFifo(bool writes_held, Pick& pick) const {
+  // Strict intake order among eligible transactions: the first eligible
+  // transaction of each list, lowest seq overall.
+  std::uint64_t best_seq = kNoKey.seq;
+  auto consider = [&](const ReadyTxn& rt, Pick candidate) {
+    if (rt.txn.seq < best_seq) {
+      best_seq = rt.txn.seq;
+      pick = candidate;
     }
-    return kNoPick;
-  }
-  // Out-of-order: lowest priority rank wins; within a rank the earliest
-  // predicted die availability, then the plane stripe, then intake order
-  // (equal keys keep the earlier index, which is the lower seq).
-  const Us now = queue_.Now();
-  const Us write_free_at = ssd_.ftl().ProbeWriteFreeAt().value_or(0);
-
-  // Multi-tenant arbitration inserts one step between the rank and the die
-  // key: find the winning rank, let the tenant table pick the tenant to
-  // serve (weighted DRR + min-share floor), then key-order only within that
-  // tenant's candidates.  Without tenants the single-pass pick below is the
-  // seed path, byte-for-byte.
-  qos::TenantId serve = qos::kNoTenant;
-  if (tenants_ != nullptr) {
-    // Single pass: track the winning rank, restarting the per-tenant
-    // active set whenever a strictly lower rank appears.
-    int winning_rank = -1;
-    bool any_tenant = false;
-    for (std::size_t i = 0; i < ready_.size(); ++i) {
-      if (!Eligible(ready_[i], write_pressure)) continue;
-      const int rank = RankOf(ready_[i], urgent);
-      if (winning_rank < 0 || rank < winning_rank) {
-        winning_rank = rank;
-        arb_active_.assign(arb_active_.size(), false);
-        any_tenant = false;
-      }
-      if (rank != winning_rank) continue;
-      const std::uint32_t tenant = ready_[i].txn.tenant;
-      if (tenant == qos::kNoTenant) continue;
-      arb_active_[tenant] = true;
-      any_tenant = true;
+  };
+  for (std::uint32_t lane = 0; lane < reads_.size(); ++lane) {
+    if (!reads_[lane].empty()) {
+      consider(reads_[lane].front(), {Pool::kRead, lane, 0});
     }
-    if (winning_rank < 0) return kNoPick;
-    // Host ranks only (0 = reads + aged writes, 2 = writes); GC carries no
-    // tenant.  Arbitrate when the rank's candidates name any tenant.
-    if (any_tenant && (winning_rank == 0 || winning_rank == 2)) {
-      serve = tenants_->PickTenant(
-          winning_rank == 0 ? qos::ArbClass::kRead : qos::ArbClass::kWrite,
-          arb_active_);
+    if (!writes_held && !writes_[lane].empty()) {
+      consider(writes_[lane].front(), {Pool::kWrite, lane, 0});
     }
   }
-
-  std::size_t best = kNoPick;
-  int best_rank = 0;
-  DispatchKey best_key{};
-  for (std::size_t i = 0; i < ready_.size(); ++i) {
-    if (!Eligible(ready_[i], write_pressure)) continue;
-    if (serve != qos::kNoTenant && ready_[i].txn.tenant != serve) continue;
-    const int rank = RankOf(ready_[i], urgent);
-    // A strictly worse rank can never win, whatever its key — skip the key
-    // computation (KeyOf probes the mapping table per candidate, the hot
-    // cost of this scan at deep ready queues).
-    if (best != kNoPick && rank > best_rank) continue;
-    DispatchKey key = KeyOf(ready_[i].txn, write_free_at);
-    if (key.start < now) key.start = now;
-    if (best == kNoPick || rank < best_rank ||
-        (rank == best_rank &&
-         (key.start < best_key.start ||
-          (key.start == best_key.start && key.plane < best_key.plane)))) {
-      best = i;
-      best_rank = rank;
-      best_key = key;
-    }
+  for (std::size_t i = 0; i < gc_.size(); ++i) {
+    if (ErasePending(gc_[i].txn)) continue;
+    consider(gc_[i], {Pool::kGc, 0, i});
+    break;
   }
-  return best;
+  return best_seq != kNoKey.seq;
 }
 
-void IoScheduler::Dispatch(std::size_t idx) {
-  const ReadyTxn rt = ready_[idx];
-  ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(idx));
+void IoScheduler::PickReadRank(std::uint32_t lane, bool writes_held,
+                               Pick& pick, DispatchKey& best) const {
+  const auto& reads = reads_[lane];
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    const DispatchKey key = KeyOf(reads[i].txn);
+    if (key < best) {
+      best = key;
+      pick = {Pool::kRead, lane, i};
+    }
+  }
+  // Aged writes are the FIFO's prefix and share one key, so its head is
+  // the lane's only write candidate.
+  const WriteFifo& fifo = writes_[lane];
+  if (!writes_held && !fifo.empty() && WriteAged(fifo.front())) {
+    const DispatchKey key = KeyOf(fifo.front().txn);
+    if (key < best) {
+      best = key;
+      pick = {Pool::kWrite, lane, 0};
+    }
+  }
+}
+
+bool IoScheduler::PickNext(bool urgent, bool writes_held, Pick& pick) {
+  if (policy_ == SchedPolicy::kFifo) return PickFifo(writes_held, pick);
+  // Out-of-order: lowest priority rank wins; within a rank the earliest
+  // predicted die availability, then the plane stripe, then intake order.
+  // Host ranks first: 0 = reads + aged writes, 2 = writes.
+  int winning_rank = kNoRank;
+  for (std::uint32_t lane = 0; lane < reads_.size(); ++lane) {
+    if (!reads_[lane].empty()) {
+      winning_rank = 0;
+      break;
+    }
+    if (!writes_held && !writes_[lane].empty()) {
+      winning_rank = std::min(winning_rank,
+                              WriteAged(writes_[lane].front()) ? 0 : 2);
+    }
+  }
+  // GC (ranks 1, 3, 4) matters only when no host read-rank work is ready.
+  if (winning_rank != 0) {
+    for (const auto& rt : gc_) {
+      if (!ErasePending(rt.txn)) {
+        winning_rank = std::min(winning_rank, GcRankOf(rt, urgent));
+      }
+    }
+  }
+  if (winning_rank == kNoRank) return false;
+
+  if (winning_rank == 0 || winning_rank == 2) {
+    // Multi-tenant arbitration inserts one step between the rank and the
+    // die key: the tenant table picks the tenant to serve among those with
+    // work in the winning rank (weighted DRR + min-share floor), and only
+    // that tenant's candidates are keyed.
+    std::uint32_t first = 0;
+    std::uint32_t last = static_cast<std::uint32_t>(reads_.size());
+    if (tenants_ != nullptr) {
+      for (std::uint32_t lane = 0; lane < last; ++lane) {
+        const bool writes = !writes_held && !writes_[lane].empty();
+        arb_active_[lane] =
+            winning_rank == 0
+                ? !reads_[lane].empty() ||
+                      (writes && WriteAged(writes_[lane].front()))
+                : writes;
+      }
+      first = tenants_->PickTenant(winning_rank == 0 ? qos::ArbClass::kRead
+                                                     : qos::ArbClass::kWrite,
+                                   arb_active_);
+      last = first + 1;
+    }
+    DispatchKey best = kNoKey;
+    for (std::uint32_t lane = first; lane < last; ++lane) {
+      if (winning_rank == 0) {
+        PickReadRank(lane, writes_held, pick, best);
+      } else if (!writes_[lane].empty() &&
+                 writes_[lane].front().txn.seq < best.seq) {
+        // Rank 2 holds only writes, all on the one frontier key: the
+        // lowest intake order wins.
+        best.seq = writes_[lane].front().txn.seq;
+        pick = {Pool::kWrite, lane, 0};
+      }
+    }
+    return true;
+  }
+
+  DispatchKey best = kNoKey;
+  for (std::size_t i = 0; i < gc_.size(); ++i) {
+    if (ErasePending(gc_[i].txn) || GcRankOf(gc_[i], urgent) != winning_rank) {
+      continue;
+    }
+    const DispatchKey key = KeyOf(gc_[i].txn);
+    if (key < best) {
+      best = key;
+      pick = {Pool::kGc, 0, i};
+    }
+  }
+  return true;
+}
+
+IoScheduler::ReadyTxn IoScheduler::Take(const Pick& pick) {
+  ReadyTxn rt;
+  switch (pick.pool) {
+    case Pool::kRead: {
+      auto& reads = reads_[pick.lane];
+      rt = reads[pick.index];
+      reads.erase(reads.begin() + static_cast<std::ptrdiff_t>(pick.index));
+      break;
+    }
+    case Pool::kWrite: {
+      // Pop the FIFO head; reclaim the consumed prefix once it is at least
+      // half the buffer, so the cost stays amortized O(1).
+      auto& fifo = writes_[pick.lane];
+      rt = fifo.items[fifo.head++];
+      if (fifo.empty()) {
+        fifo.items.clear();
+        fifo.head = 0;
+      } else if (fifo.head >= 64 && 2 * fifo.head >= fifo.items.size()) {
+        fifo.items.erase(fifo.items.begin(),
+                         fifo.items.begin() +
+                             static_cast<std::ptrdiff_t>(fifo.head));
+        fifo.head = 0;
+      }
+      --writes_ready_;
+      break;
+    }
+    case Pool::kGc:
+      rt = gc_[pick.index];
+      gc_.erase(gc_.begin() + static_cast<std::ptrdiff_t>(pick.index));
+      break;
+  }
+  --ready_count_;
+  return rt;
+}
+
+void IoScheduler::Dispatch(const Pick& pick) {
+  const ReadyTxn rt = Take(pick);
   const FlashTransaction& txn = rt.txn;
   ++in_flight_;
   if (in_flight_ > peak_in_flight_) peak_in_flight_ = in_flight_;
   ++dispatched_;
   if (sched::IsGc(txn.source)) {
-    --gc_ready_;
     ++gc_dispatched_;
     if (txn.source == sched::TxnSource::kGcCopy) {
       const auto it = gc_copies_undispatched_.find(txn.gc_block);
       if (--it->second == 0) gc_copies_undispatched_.erase(it);
     }
   } else {
-    if (gc_ready_ > 0) {
-      // A host dispatch overtook waiting GC work: advance its age toward
-      // the boost so deferral stays bounded.
-      for (auto& waiting : ready_) {
-        if (sched::IsGc(waiting.txn.source)) ++waiting.age;
-      }
-      if (txn.source == sched::TxnSource::kHostRead) ++read_preemptions_;
+    // A host dispatch ages waiting GC work (GcRankOf) and a host-read
+    // dispatch ages waiting writes (WriteAged) through these clocks.
+    ++host_dispatches_;
+    if (txn.source == sched::TxnSource::kHostRead) {
+      ++read_dispatches_;
+      if (!gc_.empty()) ++read_preemptions_;
+    } else if (WriteAged(rt)) {
+      ++aged_write_dispatches_;
     }
-    if (write_aging_limit_ > 0) {
-      // Same bound for host writes overtaken by host reads.
-      if (txn.source == sched::TxnSource::kHostRead) {
-        for (auto& waiting : ready_) {
-          if (waiting.txn.source == sched::TxnSource::kHostWrite) {
-            ++waiting.age;
-          }
-        }
-      } else if (txn.source == sched::TxnSource::kHostWrite &&
-                 rt.age >= write_aging_limit_) {
-        ++aged_write_dispatches_;
-      }
-    }
-    if (tenants_ != nullptr && txn.tenant != qos::kNoTenant) {
+    if (tenants_ != nullptr) {
       tenants_->NoteDispatch(txn.tenant,
                              txn.source == sched::TxnSource::kHostRead
                                  ? qos::ArbClass::kRead
@@ -355,30 +446,23 @@ void IoScheduler::Pump() {
     // Pull freshly planned GC work first: the pool state may have changed
     // with the previous dispatch (writes consume blocks, erases free them).
     PullGcWork();
-    if (ready_.empty()) break;
+    if (ready_count_ == 0) break;
     const auto& ftl = ssd_.ftl();
     const bool scheduled = ftl.ScheduledGcActive();
     const bool urgent = scheduled && ftl.GcUrgent();
-    const bool write_pressure = scheduled && ftl.GcWritePressure();
-    if (write_pressure && gc_ready_ > 0) {
-      bool counted = false;
-      for (auto& rt : ready_) {
-        if (rt.txn.source == sched::TxnSource::kHostWrite) {
-          if (!counted) {
-            ++write_hold_picks_;
-            counted = true;
-          }
-          // Mark every held write so the tracer can attribute its queueing
-          // delay to the admission guard; without observers the first hit
-          // still short-circuits as before.
-          if (observers_.empty()) break;
-          rt.held = true;
-        }
-      }
+    // Admission guard: while GC work is ready and the pool sits at the
+    // write floor, writes wait so GC can replenish first.
+    const bool writes_held =
+        scheduled && !gc_.empty() && ftl.GcWritePressure();
+    if (writes_held && writes_ready_ > 0) {
+      ++write_hold_picks_;
+      // Holds seen by observers mark every write ready now as held (the
+      // tracer attributes its queueing delay to the admission guard).
+      if (!observers_.empty()) ++observed_hold_picks_;
     }
-    const std::size_t idx = PickNext(urgent, write_pressure);
-    if (idx == kNoPick) break;  // everything ready is held/gated
-    Dispatch(idx);
+    Pick pick;
+    if (!PickNext(urgent, writes_held, pick)) break;  // all held/gated
+    Dispatch(pick);
   }
 }
 

@@ -57,10 +57,28 @@
 // dispatch time and use the write-frontier availability probe; unmapped
 // reads carry no flash work at all and take a NEUTRAL key (startable now,
 // worst plane) so they never leapfrog real work that is also startable.
+//
+// The ready set is indexed by what decides a pick, so the pick never scans
+// every ready transaction:
+//  * host writes sit in one intake-ordered FIFO per tenant (one FIFO
+//    without tenants).  Every write shares the frontier probe as its key,
+//    so within a rank writes order by intake alone and a FIFO's head is its
+//    tenant's only write candidate; held writes cost nothing to skip;
+//  * host reads sit in one intake-ordered list per tenant and GC work in one
+//    list; their keys depend on the mapping and the die timelines at pick
+//    time, so those (short) lists are keyed on every pick, never cached;
+//  * aging is a counter stamp, not a per-transaction counter: a GC
+//    transaction's age is the host dispatches since its intake, a write's
+//    the host-read dispatches since its enqueue, and a write was held if an
+//    observed admission hold happened since its enqueue.  Ages therefore
+//    fall with intake order, so aged work is a prefix of its list.
+// The pick is exactly the lowest (rank, key, plane, intake order) among the
+// eligible transactions, the same order a full scan of the set would give.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -117,11 +135,12 @@ class IoScheduler {
   void DetachObserver(sched::SchedulerObserver* observer);
 
   /// Adds a host transaction to the ready set and dispatches while slots
-  /// allow.  The scheduler stamps the global intake sequence.
+  /// allow.  The scheduler stamps the global intake sequence.  With tenants
+  /// attached the transaction must name one (std::invalid_argument).
   void Enqueue(FlashTransaction txn);
 
   std::uint32_t InFlight() const { return in_flight_; }
-  std::size_t ReadyCount() const { return ready_.size(); }
+  std::size_t ReadyCount() const { return ready_count_; }
   std::uint64_t DispatchedCount() const { return dispatched_; }
   /// Highest number of simultaneously in-flight transactions observed.
   std::uint32_t PeakInFlight() const { return peak_in_flight_; }
@@ -134,7 +153,7 @@ class IoScheduler {
 
   // --- GC routing observability --------------------------------------------
   /// GC transactions currently waiting in the ready set.
-  std::size_t GcReadyCount() const { return gc_ready_; }
+  std::size_t GcReadyCount() const { return gc_.size(); }
   std::uint64_t GcDispatchedCount() const { return gc_dispatched_; }
   std::uint64_t GcCompletedCount() const { return gc_completed_; }
   /// Host-read dispatches that overtook at least one ready GC transaction
@@ -144,43 +163,89 @@ class IoScheduler {
   std::uint64_t WriteHoldPicks() const { return write_hold_picks_; }
 
  private:
-  /// A ready transaction plus its aging state: overtakes seen by waiting
-  /// GC work (any host dispatch) or by waiting host writes (host-read
-  /// dispatches, when write aging is enabled).
+  /// A ready transaction plus the counter stamps its aging and hold state
+  /// derive from (see file header).
   struct ReadyTxn {
     FlashTransaction txn;
-    std::uint32_t age = 0;
     /// Intake time (observer latency attribution; unused by scheduling).
     Us enqueue_us = 0;
-    /// The write-admission guard held this write at least once.
-    bool held = false;
+    /// GC: host_dispatches_ at intake.  Host write: read_dispatches_ at
+    /// enqueue.  The age is the counter's advance since.
+    std::uint64_t age_stamp = 0;
+    /// Host write: observed_hold_picks_ at enqueue; held once it advanced.
+    std::uint64_t hold_stamp = 0;
+  };
+
+  /// One tenant's host writes in intake order, consumed from `head` (a
+  /// vector plus a cursor: O(1) pops without per-node allocation).
+  struct WriteFifo {
+    std::vector<ReadyTxn> items;
+    std::size_t head = 0;
+
+    bool empty() const { return head == items.size(); }
+    const ReadyTxn& front() const { return items[head]; }
   };
 
   /// Out-of-order sort key within a priority rank: earliest cell-op start
-  /// on the target die plus the plane stripe tie-break.
+  /// on the target die plus the plane stripe tie-break, then intake order.
   struct DispatchKey {
     Us start = 0;
     std::uint32_t plane = 0;
+    std::uint64_t seq = 0;
+
+    bool operator<(const DispatchKey& o) const {
+      if (start != o.start) return start < o.start;
+      if (plane != o.plane) return plane < o.plane;
+      return seq < o.seq;
+    }
   };
 
-  static constexpr std::size_t kNoPick = ~static_cast<std::size_t>(0);
+  /// Which list a pick came from; `lane` is the tenant's index (0 without
+  /// tenants), `index` the position in a read or GC list.
+  enum class Pool : std::uint8_t { kRead, kWrite, kGc };
+  struct Pick {
+    Pool pool = Pool::kRead;
+    std::uint32_t lane = 0;
+    std::size_t index = 0;
+  };
+
+  /// Worse than every priority rank (0..4): nothing is eligible.
+  static constexpr int kNoRank = 5;
   /// Neutral plane for transactions with no die work (unmapped reads):
   /// loses every tie against real flash work, wins only over later starts.
   static constexpr std::uint32_t kNeutralPlane = ~0u;
+  /// Worse than every real key (no transaction reaches the last intake
+  /// sequence): the starting point of a minimum search.
+  static constexpr DispatchKey kNoKey{std::numeric_limits<Us>::max(),
+                                      kNeutralPlane, ~0ull};
 
   void Pump();
   /// Drains the FTL's scheduled-GC planner into the ready set.
   void PullGcWork();
-  bool Eligible(const ReadyTxn& rt, bool write_pressure) const;
-  int RankOf(const ReadyTxn& rt, bool urgent) const;
-  /// Index of the next transaction to dispatch, or kNoPick when nothing is
-  /// eligible (held writes / gated erases wait for state to change).
-  std::size_t PickNext(bool urgent, bool write_pressure) const;
-  DispatchKey KeyOf(const FlashTransaction& txn, Us write_free_at) const;
+  /// Tenant index of a host transaction (0 without tenants).
+  std::uint32_t LaneOf(const FlashTransaction& txn) const;
+  /// A gc-erase waits until all of its job's copies dispatched.
+  bool ErasePending(const FlashTransaction& txn) const;
+  /// Rank of an eligible GC transaction: boosted (urgent or aged) or its
+  /// class rank.
+  int GcRankOf(const ReadyTxn& rt, bool urgent) const;
+  /// True when a ready host write has been overtaken by
+  /// `write_aging_limit` host reads and competes in the read rank.
+  bool WriteAged(const ReadyTxn& rt) const;
+  /// The next transaction to dispatch, or false when nothing is eligible
+  /// (held writes / gated erases wait for state to change).
+  bool PickNext(bool urgent, bool writes_held, Pick& pick);
+  bool PickFifo(bool writes_held, Pick& pick) const;
+  /// The winning candidate of rank 0 (reads plus aged writes) in `lane`.
+  void PickReadRank(std::uint32_t lane, bool writes_held, Pick& pick,
+                    DispatchKey& best) const;
+  DispatchKey KeyOf(const FlashTransaction& txn) const;
   /// Resolves the observer-facing dispatch context (target die and its
   /// availability); only computed when observers are attached.
   sched::DispatchContext ContextOf(const ReadyTxn& rt) const;
-  void Dispatch(std::size_t idx);
+  /// Removes the picked transaction from the ready set.
+  ReadyTxn Take(const Pick& pick);
+  void Dispatch(const Pick& pick);
 
   ssd::Ssd& ssd_;
   sim::EventQueue& queue_;
@@ -189,23 +254,34 @@ class IoScheduler {
   std::uint32_t gc_aging_limit_;
   std::uint32_t write_aging_limit_;
   /// Borrowed from the host interface; non-null only in multi-tenant mode.
-  /// PickNext (const) arbitrates through it — tenant DRR state advances
-  /// exactly once per dispatched transaction.
+  /// PickNext arbitrates through it — tenant DRR state advances exactly
+  /// once per dispatched transaction.
   qos::TenantTable* tenants_;
   bool attached_gc_ = false;  ///< this scheduler is the FTL's GC sink
   std::uint32_t in_flight_ = 0;
   std::uint32_t peak_in_flight_ = 0;
   std::uint64_t dispatched_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::vector<ReadyTxn> ready_;
+  /// The ready set (see file header): per-tenant write FIFOs, per-tenant
+  /// read lists and one GC list, each in intake order.
+  std::vector<WriteFifo> writes_;
+  std::vector<std::vector<ReadyTxn>> reads_;
+  std::vector<ReadyTxn> gc_;
+  std::size_t ready_count_ = 0;
+  std::size_t writes_ready_ = 0;
+  /// Aging and hold clocks the ReadyTxn stamps are read against.
+  std::uint64_t host_dispatches_ = 0;
+  std::uint64_t read_dispatches_ = 0;
+  /// Admission-guard holds that happened with observers attached (the
+  /// observer-visible write_held flag).
+  std::uint64_t observed_hold_picks_ = 0;
   /// Copies of a GC job not yet dispatched, keyed by victim block; the
   /// job's erase is eligible only once its entry drains to zero.
   std::unordered_map<BlockId, std::uint32_t> gc_copies_undispatched_;
   std::vector<sched::FlashTransaction> gc_intake_;  ///< drain scratch buffer
   /// Per-tenant "has eligible work in the winning rank" scratch for
-  /// PickNext (mutable: PickNext is logically const; this is a buffer).
-  mutable std::vector<bool> arb_active_;
-  std::size_t gc_ready_ = 0;
+  /// PickNext.
+  std::vector<bool> arb_active_;
   std::uint64_t gc_dispatched_ = 0;
   std::uint64_t gc_completed_ = 0;
   std::uint64_t read_preemptions_ = 0;
