@@ -12,6 +12,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/stats.h"
@@ -68,7 +69,7 @@ class MsrCsvParser {
   /// (blank, '#' comment, zero-length ops); true fills `out`.  `hostname`
   /// (optional) receives the line's Hostname field, letting callers split a
   /// combined multi-server trace into per-host streams.
-  bool ParseLine(const std::string& line, TraceRecord& out,
+  bool ParseLine(std::string_view line, TraceRecord& out,
                  std::string* hostname = nullptr);
 
   /// Lines consumed so far (error messages are 1-based on this count).

@@ -8,11 +8,19 @@
 
 namespace ctflash::util {
 
-std::string Trim(const std::string& s) {
+std::string_view Trim(std::string_view s) {
   std::size_t b = 0, e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
+}
+
+std::string Trim(const std::string& s) {
+  return std::string(Trim(std::string_view(s)));
+}
+
+std::string Trim(const char* s) {
+  return std::string(Trim(std::string_view(s)));
 }
 
 std::string ToLower(const std::string& s) {

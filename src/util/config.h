@@ -10,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace ctflash::util {
 
@@ -59,6 +60,9 @@ std::uint64_t ParseByteSize(const std::string& text);
 
 /// Trims ASCII whitespace from both ends.
 std::string Trim(const std::string& s);
+std::string Trim(const char* s);
+/// The same trim as a view into `s` (no copy; `s` must outlive it).
+std::string_view Trim(std::string_view s);
 
 /// Lower-cases ASCII.
 std::string ToLower(const std::string& s);
