@@ -1,6 +1,8 @@
 #include "util/random.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace ctflash::util {
@@ -64,12 +66,31 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double theta) : n_(n), theta_(theta) {
   }
   for (auto& v : cdf_) v /= sum;
   cdf_.back() = 1.0;  // guard against fp round-off at the tail
+  if (n > std::numeric_limits<std::uint32_t>::max()) return;
+  guide_.resize(n / 8);
+  const double buckets = static_cast<double>(guide_.size());
+  std::uint64_t rank = 0;
+  for (std::size_t j = 0; j < guide_.size(); ++j) {
+    const double bucket_start = static_cast<double>(j) / buckets;
+    while (cdf_[rank] < bucket_start) ++rank;  // cdf_.back() = 1 stops it
+    guide_[j] = static_cast<std::uint32_t>(rank);
+  }
 }
 
-std::uint64_t ZipfSampler::Sample(Xoshiro256StarStar& rng) const {
-  const double u = rng.UniformDouble();
-  // Binary search for the first cdf_[i] >= u.
+std::uint64_t ZipfSampler::RankOf(double u) const {
   std::uint64_t lo = 0, hi = n_ - 1;
+  if (!guide_.empty()) {
+    const std::size_t j = std::min(
+        static_cast<std::size_t>(u * static_cast<double>(guide_.size())),
+        guide_.size() - 1);
+    lo = guide_[j];
+    if (j + 1 < guide_.size()) hi = guide_[j + 1];
+    // u * G rounds, so u may sit just outside bucket j: widen to the full
+    // table whenever the bucket does not bracket the answer.
+    if (lo > 0 && cdf_[lo - 1] >= u) lo = 0;
+    if (cdf_[hi] < u) hi = n_ - 1;
+  }
+  // Binary search for the first cdf_[i] >= u.
   while (lo < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
     if (cdf_[mid] < u) {
@@ -85,6 +106,11 @@ double ZipfSampler::Pmf(std::uint64_t rank) const {
   if (rank >= n_) throw std::out_of_range("ZipfSampler::Pmf: rank out of range");
   if (rank == 0) return cdf_[0];
   return cdf_[rank] - cdf_[rank - 1];
+}
+
+double ZipfSampler::Cdf(std::uint64_t rank) const {
+  if (rank >= n_) throw std::out_of_range("ZipfSampler::Cdf: rank out of range");
+  return cdf_[rank];
 }
 
 }  // namespace ctflash::util

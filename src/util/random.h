@@ -72,7 +72,9 @@ class Xoshiro256StarStar {
 
 /// Zipf(theta) sampler over ranks [0, n).  theta = 0 is uniform; larger theta
 /// skews mass toward low ranks.  Uses the classic inverse-CDF table for exact
-/// sampling; construction is O(n), sampling is O(log n).
+/// sampling, with a Chen-Asau guide table (n/8 bucket starts) that narrows
+/// each search to one bucket: construction is O(n), sampling is O(1)
+/// expected and returns the same rank as a plain binary search of the table.
 class ZipfSampler {
  public:
   ZipfSampler(std::uint64_t n, double theta);
@@ -81,15 +83,27 @@ class ZipfSampler {
   double theta() const { return theta_; }
 
   /// Draws a rank in [0, n); rank 0 is the most popular item.
-  std::uint64_t Sample(Xoshiro256StarStar& rng) const;
+  std::uint64_t Sample(Xoshiro256StarStar& rng) const {
+    return RankOf(rng.UniformDouble());
+  }
+
+  /// Inverse CDF: the first rank whose cumulative mass is >= u, u in [0, 1).
+  std::uint64_t RankOf(double u) const;
 
   /// Probability mass of a given rank.
   double Pmf(std::uint64_t rank) const;
+
+  /// Cumulative mass of ranks [0, rank].
+  double Cdf(std::uint64_t rank) const;
 
  private:
   std::uint64_t n_;
   double theta_;
   std::vector<double> cdf_;  // cdf_[i] = P(rank <= i)
+  /// guide_[j] = first rank with cdf_ >= j / guide_.size(): the rank for
+  /// any u in bucket j lies in [guide_[j], guide_[j + 1]].  Empty for
+  /// n < 8 (and for n beyond 32-bit ranks), where the search spans the table.
+  std::vector<std::uint32_t> guide_;
 };
 
 }  // namespace ctflash::util

@@ -157,6 +157,64 @@ TEST(Zipf, SingleItemAlwaysRankZero) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(zipf.Sample(rng), 0u);
 }
 
+/// The unguided inverse CDF: binary search for the first Cdf(i) >= u.
+std::uint64_t PlainRankOf(const ZipfSampler& zipf, double u) {
+  std::uint64_t lo = 0, hi = zipf.n() - 1;
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (zipf.Cdf(mid) < u) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+TEST(Zipf, GuideTableMatchesPlainBinarySearch) {
+  const double below_one = std::nextafter(1.0, 0.0);
+  for (const std::uint64_t n : {1ull, 7ull, 1'000'000ull}) {
+    for (const double theta : {0.0, 0.9, 1.2}) {
+      const ZipfSampler zipf(n, theta);
+      for (const double u : {0.0, below_one}) {
+        EXPECT_EQ(zipf.RankOf(u), PlainRankOf(zipf, u))
+            << "n=" << n << " theta=" << theta << " u=" << u;
+      }
+      EXPECT_EQ(zipf.RankOf(below_one), n - 1);
+      Xoshiro256StarStar rng(n * 31 + static_cast<std::uint64_t>(theta * 10));
+      std::uint64_t mismatches = 0;
+      for (int i = 0; i < 1'000'000; ++i) {
+        const double u = rng.UniformDouble();
+        if (zipf.RankOf(u) != PlainRankOf(zipf, u)) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " theta=" << theta;
+    }
+  }
+}
+
+TEST(Zipf, GuideTableMatchesAtBucketEdges) {
+  // u exactly on, and one ulp either side of, every bucket boundary j / G
+  // and every table entry: where rounding in u * G could pick the wrong
+  // bucket.
+  const ZipfSampler zipf(4096, 1.2);
+  const double buckets = 4096 / 8;
+  for (int j = 0; j < 4096 / 8; ++j) {
+    const double edge = j / buckets;
+    for (const double u : {std::nextafter(edge, 0.0), edge,
+                           std::nextafter(edge, 1.0)}) {
+      if (u < 0.0 || u >= 1.0) continue;
+      EXPECT_EQ(zipf.RankOf(u), PlainRankOf(zipf, u)) << "u=" << u;
+    }
+  }
+  for (std::uint64_t r = 0; r + 1 < zipf.n(); ++r) {
+    const double c = zipf.Cdf(r);
+    for (const double u : {std::nextafter(c, 0.0), c, std::nextafter(c, 1.0)}) {
+      if (u < 0.0 || u >= 1.0) continue;
+      EXPECT_EQ(zipf.RankOf(u), PlainRankOf(zipf, u)) << "u=" << u;
+    }
+  }
+}
+
 /// Property sweep: for a range of thetas, higher theta concentrates more
 /// probability mass on the top rank.
 class ZipfThetaSweep : public ::testing::TestWithParam<double> {};
