@@ -27,6 +27,34 @@ const char* KindName(Json::Kind kind) {
 /// real specs nest a handful of levels.
 constexpr int kMaxDepth = 256;
 
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// RFC 8259 number: -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?
+bool IsJsonNumber(const std::string& s) {
+  std::size_t i = 0;
+  const auto digits = [&] {
+    const std::size_t from = i;
+    while (i < s.size() && IsDigit(s[i])) ++i;
+    return i > from;
+  };
+  if (i < s.size() && s[i] == '-') ++i;
+  if (i < s.size() && s[i] == '0') {
+    ++i;
+  } else if (!digits()) {
+    return false;
+  }
+  if (i < s.size() && s[i] == '.') {
+    ++i;
+    if (!digits()) return false;
+  }
+  if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+    ++i;
+    if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+    if (!digits()) return false;
+  }
+  return i == s.size();
+}
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -202,6 +230,9 @@ class Parser {
     }
     if (pos_ == start) Fail("expected a JSON value");
     const std::string token = text_.substr(start, pos_ - start);
+    // strtod is more lenient than JSON ("+1", "01", "1.", ".5", hex):
+    // check the RFC 8259 grammar first so a spec typo fails loudly.
+    if (!IsJsonNumber(token)) Fail("malformed number '" + token + "'");
     char* end = nullptr;
     const double v = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) Fail("malformed number '" + token + "'");

@@ -2,6 +2,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -78,6 +79,31 @@ TEST(CampaignJson, RejectsNonFiniteNumbers) {
   // The largest finite double still parses.
   EXPECT_DOUBLE_EQ(Json::Parse("1.7976931348623157e308").AsDouble(),
                    1.7976931348623157e308);
+}
+
+TEST(CampaignJson, RejectsNumbersOutsideTheJsonGrammar) {
+  // strtod accepts all of these; RFC 8259 does not.
+  for (const char* text :
+       {"+1", "01", "-01", "00", "1.", ".5", "-.5", "-", "1e", "1e+", "1.e3",
+        "1.5.2", "1e5e5", "--1", "[1, 08]", "{\"queue_depth\": 08}"}) {
+    try {
+      Json::Parse(text);
+      FAIL() << "accepted " << text;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("malformed number"), std::string::npos) << what;
+      EXPECT_NE(what.find(" column "), std::string::npos) << what;
+    }
+  }
+  // Every production of the grammar still parses to its value.
+  const std::pair<const char*, double> valid[] = {
+      {"0", 0.0},      {"-0", -0.0},     {"7", 7.0},        {"-12", -12.0},
+      {"0.5", 0.5},    {"-0.25", -0.25}, {"10.125", 10.125}, {"1e3", 1e3},
+      {"1E3", 1e3},    {"2e+2", 2e2},    {"5e-1", 0.5},     {"0e0", 0.0},
+      {"1.5E-2", 1.5e-2}};
+  for (const auto& [text, value] : valid) {
+    EXPECT_DOUBLE_EQ(Json::Parse(text).AsDouble(), value) << text;
+  }
 }
 
 TEST(CampaignJson, IntegralAccessorsRangeCheckBeforeCasting) {
