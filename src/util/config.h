@@ -60,6 +60,7 @@ std::uint64_t ParseByteSize(const std::string& text);
 
 /// Trims ASCII whitespace from both ends.
 std::string Trim(const std::string& s);
+/// Owning form for C strings (a literal would match both other overloads).
 std::string Trim(const char* s);
 /// The same trim as a view into `s` (no copy; `s` must outlive it).
 std::string_view Trim(std::string_view s);

@@ -69,11 +69,15 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double theta) : n_(n), theta_(theta) {
   if (n > std::numeric_limits<std::uint32_t>::max()) return;
   guide_.resize(n / 8);
   const double buckets = static_cast<double>(guide_.size());
-  std::uint64_t rank = 0;
-  for (std::size_t j = 0; j < guide_.size(); ++j) {
-    const double bucket_start = static_cast<double>(j) / buckets;
-    while (cdf_[rank] < bucket_start) ++rank;  // cdf_.back() = 1 stops it
-    guide_[j] = static_cast<std::uint32_t>(rank);
+  std::size_t bucket = 0;
+  double bucket_start = 0.0;  // bucket / buckets
+  for (std::uint64_t i = 0; i < n && bucket < guide_.size(); ++i) {
+    // Every bucket starting at or below cdf_[i] and not yet claimed starts
+    // its search at rank i.
+    while (bucket < guide_.size() && bucket_start <= cdf_[i]) {
+      guide_[bucket++] = static_cast<std::uint32_t>(i);
+      bucket_start = static_cast<double>(bucket) / buckets;
+    }
   }
 }
 
